@@ -559,9 +559,8 @@ func WindowAggregators() []string { return pipeline.Aggregators() }
 
 // AdmissionPolicy decides whether (and at what mini-batch size) a task
 // request is admitted — steps (1)–(4) of Figure 2 as a composable module.
-// Set a chain of them on ServerConfig.Admission; a nil config builds the
-// legacy-equivalent default from the TimeSLOSec/EnergySLOPct/MinBatchSize/
-// MaxSimilarity knobs.
+// Set a chain of them on ServerConfig.Admission; a nil chain admits every
+// task at DefaultBatchSize.
 type AdmissionPolicy = sched.AdmissionPolicy
 
 // AdmissionRequest is the in-flight admission context a policy evaluates:

@@ -388,6 +388,9 @@ func TestPublicAPICrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close stops the background checkpoint writer before the temp dir is
+	// removed (cleanups run last-registered first).
+	t.Cleanup(func() { _ = srv.Close() })
 	ds := fleet.TinyMNIST(2, 12, 4)
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		ID: 1, Arch: fleet.ArchSoftmaxMNIST, Local: ds.Train, Rng: simrand.New(3),
@@ -413,6 +416,7 @@ func TestPublicAPICrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = restored.Close() })
 	if _, err := w.Push(ctx, restored, prep.Push); err == nil {
 		t.Fatal("stale-incarnation push accepted")
 	} else {

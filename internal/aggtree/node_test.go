@@ -8,6 +8,7 @@ import (
 
 	"fleet/internal/learning"
 	"fleet/internal/nn"
+	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
 	"fleet/internal/server"
 	"fleet/internal/service"
@@ -401,6 +402,53 @@ func TestAbsorbUpstreamAnnounceRepair(t *testing.T) {
 	_ = rv
 	if ev, _ := edge.Version(); ev != 1 {
 		t.Fatalf("edge at version %d after forward, want 1", ev)
+	}
+}
+
+// cancelStage cancels the pushing leaf's context from inside the pipeline:
+// after ingress's last abort point, so the push is committed and acked.
+type cancelStage struct{ cancel context.CancelFunc }
+
+func (s cancelStage) Name() string { return "cancel" }
+
+func (s cancelStage) Process(*pipeline.Gradient) error {
+	s.cancel()
+	return nil
+}
+
+// TestForwardSurvivesLeafCancel: the leaf that completes a window may go
+// away (deadline, dropped connection) once its gradient is committed, but
+// the window it closes holds every leaf's acked gradient — the forward and
+// any resync must run to completion, not inherit the leaf's cancellation.
+func TestForwardSurvivesLeafCancel(t *testing.T) {
+	root := newRoot(t, server.Config{K: 1})
+	algo := newAlgo()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	staleness, err := pipeline.NewStalenessScale(algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := pipeline.New(pipeline.NewMeanWindow(1), staleness, cancelStage{cancel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := newEdge(t, Config{Upstream: root, Algorithm: algo, Pipeline: pipe, K: 1, ID: 1_000_000})
+	if err := edge.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	params, _ := root.Model()
+	ack, err := edge.PushGradient(ctx, &protocol.GradientPush{
+		WorkerID: 2, Gradient: sparseGrad(0, len(params)), BatchSize: 10,
+	})
+	if err != nil || !ack.Applied {
+		t.Fatalf("committed push: ack %+v, err %v", ack, err)
+	}
+	if lost, pushed := edge.LostWindows(), edge.UpstreamPushes(); lost != 0 || pushed != 1 {
+		t.Fatalf("lost %d windows, forwarded %d: the acked window must reach the root", lost, pushed)
+	}
+	if _, v := root.Model(); v != 1 || ack.NewVersion != 1 {
+		t.Fatalf("root at version %d, ack at %d: want both 1", v, ack.NewVersion)
 	}
 }
 

@@ -196,9 +196,7 @@ func compileRoot(s Spec) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w\nknown admission policies: %s", err, strings.Join(sched.Policies(), ", "))
 	}
-	if admissionSpec != "" {
-		cfg.Admission = chain
-	}
+	cfg.Admission = chain
 
 	srv, err := bootRoot(s, cfg)
 	if err != nil {

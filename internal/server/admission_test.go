@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"fleet/internal/device"
-	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
@@ -16,189 +14,10 @@ import (
 	"fleet/internal/simrand"
 )
 
-// newProfiler builds a deterministic I-Prof instance; identical seeds give
-// identical cold-start models and, fed identical observation streams,
-// identical online state.
-func newProfiler(t testing.TB, kind iprof.Kind, slo float64, seed int64) *iprof.IProf {
-	t.Helper()
-	data := iprof.Collect(simrand.New(seed), device.Catalogue()[:8], kind, slo)
-	prof, err := iprof.New(iprof.Config{Epsilon: 2e-4, RetrainEvery: 50}, data.Observations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prof
-}
-
-// TestAdmissionEquivalentToLegacy proves the default admission chain
-// reproduces the pre-sched hardwired controller decision-for-decision. An
-// inline oracle replicates the legacy RequestTask logic (profiler batch
-// sizing with time-replaces/energy-lowers semantics, min-batch before
-// similarity, exact reject strings) against the very profiler and a mirror
-// of the label tracker; a second server runs an explicitly spec-built
-// chain. All three must agree on every accept/reject, reason and batch
-// size over a stream that exercises profiler evolution and label drift.
-func TestAdmissionEquivalentToLegacy(t *testing.T) {
-	ctx := context.Background()
-	const (
-		timeSLO   = 2.5
-		energySLO = 4.0
-		minBatch  = 25
-		maxSim    = 0.97
-	)
-
-	// Two identical profiler pairs: the oracle shares the legacy server's
-	// (BatchSize is read-only); the chain server owns the other pair and
-	// is fed the identical push stream.
-	tProfA := newProfiler(t, iprof.KindTime, timeSLO, 7)
-	eProfA := newProfiler(t, iprof.KindEnergy, energySLO, 8)
-	tProfB := newProfiler(t, iprof.KindTime, timeSLO, 7)
-	eProfB := newProfiler(t, iprof.KindEnergy, energySLO, 8)
-
-	legacy := newTestServer(t, Config{
-		Algorithm:      learning.SSGD{},
-		TimeProfiler:   tProfA,
-		TimeSLOSec:     timeSLO,
-		EnergyProfiler: eProfA,
-		EnergySLOPct:   energySLO,
-		MinBatchSize:   minBatch,
-		MaxSimilarity:  maxSim,
-	})
-
-	chain, err := sched.Build(
-		fmt.Sprintf("iprof-time(%g),iprof-energy(%g),min-batch(%d),similarity(%g)",
-			timeSLO, energySLO, minBatch, maxSim),
-		sched.BuildOptions{TimeProfiler: tProfB, EnergyProfiler: eProfB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := newTestServer(t, Config{
-		Algorithm:      learning.SSGD{},
-		Admission:      chain,
-		TimeProfiler:   tProfB,
-		EnergyProfiler: eProfB,
-	})
-
-	// The oracle's mirror of LD_global: SSGD's absorb weight is 1, so the
-	// servers record accepted pushes at weight 1.
-	mirror := learning.NewLabelTracker(nn.ArchSoftmaxMNIST.Classes())
-	oracle := func(req *protocol.TaskRequest) (accept bool, reason string, batch int) {
-		// Legacy order: the time prediction replaces the 100 default, the
-		// energy prediction lowers, then min-batch before similarity.
-		batch = tProfA.BatchSize(req.DeviceModel, req.TimeFeatures, timeSLO)
-		if e := eProfA.BatchSize(req.DeviceModel, req.EnergyFeatures, energySLO); e < batch {
-			batch = e
-		}
-		sim := mirror.Similarity(req.LabelCounts)
-		if batch < minBatch {
-			return false, "mini-batch size below threshold", 0
-		}
-		if sim > maxSim {
-			return false, "similarity above threshold", 0
-		}
-		return true, "", batch
-	}
-
-	params, _ := legacy.Model()
-	models := device.Catalogue()
-	rng := simrand.New(42)
-	accepted, rejected := 0, 0
-	for i := 0; i < 120; i++ {
-		dev := device.New(models[i%len(models)], simrand.New(int64(1000+i)))
-		labels := make([]int, 10)
-		labels[i%10] = 5 + i%3
-		labels[(i+3)%10] = 2
-		req := &protocol.TaskRequest{
-			WorkerID:       i % 6,
-			DeviceModel:    dev.Model.Name,
-			TimeFeatures:   dev.Features(),
-			EnergyFeatures: dev.EnergyFeatures(),
-			LabelCounts:    labels,
-		}
-		wantAccept, wantReason, wantBatch := oracle(req)
-		req2 := *req
-
-		got1, err := legacy.RequestTask(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got2, err := explicit.RequestTask(ctx, &req2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, got := range map[string]*protocol.TaskResponse{"legacy-config": got1, "explicit-chain": got2} {
-			if got.Accepted != wantAccept || got.Reason != wantReason {
-				t.Fatalf("step %d (%s): got accept=%v reason=%q, oracle accept=%v reason=%q",
-					i, name, got.Accepted, got.Reason, wantAccept, wantReason)
-			}
-			if wantAccept && got.BatchSize != wantBatch {
-				t.Fatalf("step %d (%s): batch %d, oracle %d", i, name, got.BatchSize, wantBatch)
-			}
-		}
-		if wantAccept {
-			accepted++
-		} else {
-			rejected++
-		}
-
-		// Every few steps, push a gradient through both servers (and the
-		// mirror) so profiler state and LD_global evolve mid-stream.
-		if i%4 == 0 {
-			grad := make([]float64, len(params))
-			grad[i%len(grad)] = 1e-3
-			res := dev.Execute(50)
-			push := protocol.GradientPush{
-				WorkerID: i % 6, DeviceModel: dev.Model.Name, ModelVersion: 0,
-				Gradient: grad, BatchSize: 50, LabelCounts: labels,
-				CompTimeSec: res.LatencySec, EnergyPct: res.EnergyPct,
-				TimeFeatures:   iprof.FeaturesOf(dev, iprof.KindTime),
-				EnergyFeatures: iprof.FeaturesOf(dev, iprof.KindEnergy),
-			}
-			push.ModelVersion = func() int { _, v := legacy.Model(); return v }()
-			push2 := push
-			if _, err := legacy.PushGradient(ctx, &push); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := explicit.PushGradient(ctx, &push2); err != nil {
-				t.Fatal(err)
-			}
-			mirror.RecordWeighted(labels, 1)
-			rng.Int63() // keep the stream stirred even if unused
-		}
-	}
-	if accepted == 0 || rejected == 0 {
-		t.Fatalf("stream did not exercise both outcomes: %d accepted, %d rejected", accepted, rejected)
-	}
-
-	// The servers' stats must agree with each other and with the oracle's
-	// tally, and attribute rejects to named policies.
-	s1, err := legacy.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := explicit.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.TasksServed != accepted || s1.TasksDropped != rejected {
-		t.Fatalf("legacy stats served=%d dropped=%d, oracle %d/%d",
-			s1.TasksServed, s1.TasksDropped, accepted, rejected)
-	}
-	if s2.TasksServed != s1.TasksServed || s2.TasksDropped != s1.TasksDropped {
-		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
-	}
-	total := 0
-	for _, n := range s1.RejectsByPolicy {
-		total += n
-	}
-	if total != rejected {
-		t.Fatalf("per-policy rejects %v sum to %d, want %d", s1.RejectsByPolicy, total, rejected)
-	}
-}
-
-// TestDefaultAdmissionChainComposition checks which policies the legacy
-// knobs synthesize.
+// TestDefaultAdmissionChainComposition checks the chain a server reports:
+// the configured policies in order, or the empty chain when none is set.
 func TestDefaultAdmissionChainComposition(t *testing.T) {
-	s := newTestServer(t, Config{MinBatchSize: 5, MaxSimilarity: 0.9})
+	s := newTestServer(t, Config{Admission: sched.NewChain(sched.MinBatch(5), sched.Similarity(0.9))})
 	want := []string{"min-batch(5)", "similarity(0.9)"}
 	got := sched.Names(s.Admission())
 	if len(got) != len(want) {
@@ -260,7 +79,7 @@ func pushSparse(t *testing.T, s *Server, idx int32, val float64) {
 	t.Helper()
 	_, v := s.Model()
 	if _, err := s.PushGradient(context.Background(), &protocol.GradientPush{
-		ModelVersion: v, GradientLen: s.paramCount,
+		ModelVersion: v, GradientLen: s.core.ParamCount(),
 		SparseIndices: []int32{idx}, SparseValues: []float64{val},
 		BatchSize: 1, LabelCounts: []int{1},
 	}); err != nil {
@@ -337,7 +156,7 @@ func TestDeltaPullReconstructsExactParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ParamsDelta != nil || !resp.Full || len(resp.Params) != s.paramCount {
+	if resp.ParamsDelta != nil || !resp.Full || len(resp.Params) != s.core.ParamCount() {
 		t.Fatalf("stale pull must fall back to full: %+v", resp)
 	}
 
@@ -446,7 +265,7 @@ func TestConcurrentRequestAndPush(t *testing.T) {
 	ctx := context.Background()
 	const pushers, pullers, iters = 4, 4, 50
 	s := newTestServer(t, Config{K: 2, Algorithm: learning.SSGD{}})
-	paramCount := s.paramCount
+	paramCount := s.core.ParamCount()
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, pushers+pullers)
@@ -553,7 +372,7 @@ func BenchmarkRequestTask(b *testing.B) {
 		// One sparse update so version 0 has a real precomputed delta.
 		_, v := s.Model()
 		if _, err := s.PushGradient(ctx, &protocol.GradientPush{
-			ModelVersion: v, GradientLen: s.paramCount,
+			ModelVersion: v, GradientLen: s.core.ParamCount(),
 			SparseIndices: []int32{1}, SparseValues: []float64{1e-3},
 			BatchSize: 1, LabelCounts: []int{1},
 		}); err != nil {
@@ -578,7 +397,7 @@ func BenchmarkRequestTask(b *testing.B) {
 				s.mu.Lock()
 				resp := &protocol.TaskResponse{
 					Accepted:     true,
-					ModelVersion: s.version,
+					ModelVersion: s.core.Snapshot().Version,
 					Params:       s.model.ParamVector(),
 					BatchSize:    100,
 				}

@@ -299,7 +299,7 @@ func TestStaleCheckpointWriteSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The delayed writer from an earlier drain finally runs.
-	s.saveState(s.captureState(ckptCore{version: 1, params: s.snap.Load().params}))
+	s.saveState(s.captureState(ckptCore{version: 1, params: s.core.Snapshot().Params}))
 	st, _, err := persist.LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)

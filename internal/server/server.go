@@ -25,6 +25,11 @@
 //     The accept path takes no lock and does no O(params) work: full pulls
 //     hand out the shared snapshot slice, and version-aware pulls hand out
 //     deltas precomputed at drain time.
+//
+// Both halves run through internal/ingress, the serving core the server
+// shares with the aggtree edge tier. What is the server's own is the drain
+// sink — the model each K-window is applied to — plus checkpoints, Restore
+// and the F16 announce fallback.
 package server
 
 import (
@@ -33,6 +38,7 @@ import (
 	"sync/atomic"
 
 	"fleet/internal/compress"
+	"fleet/internal/ingress"
 	"fleet/internal/iprof"
 	"fleet/internal/learning"
 	"fleet/internal/nn"
@@ -75,40 +81,24 @@ type Config struct {
 	//	pipeline.Build("staleness,norm-filter(100)", "krum(1)",
 	//	    pipeline.BuildOptions{Algorithm: algo, Seed: seed})
 	Pipeline *pipeline.Pipeline
-	// Admission, when non-nil, replaces the task-admission chain: the
-	// policy sequence every TaskRequest travels before the model is
-	// served (see internal/sched). When nil the server builds the
-	// legacy-equivalent default from the fields below — iprof-time,
-	// iprof-energy, min-batch, similarity, each included only when its
-	// knob is set. Policies may hold per-worker state (quotas): build one
-	// chain per server. Build one directly (sched.NewChain) or from
-	// string specs (sched.Build), e.g.
+	// Admission, when non-nil, is the task-admission chain: the policy
+	// sequence every TaskRequest travels before the model is served (see
+	// internal/sched). Nil admits everything at DefaultBatchSize.
+	// Policies may hold per-worker state (quotas): build one chain per
+	// server. Build one directly (sched.NewChain) or from string specs
+	// (sched.Build), e.g.
 	//
 	//	sched.Build("iprof-time(3),min-batch(5),similarity(0.9)",
 	//	    sched.BuildOptions{TimeProfiler: prof})
 	Admission sched.AdmissionPolicy
-	// TimeSLOSec and EnergySLOPct are the provider's SLOs; the controller
-	// sends each worker the largest batch meeting both (0 disables one).
-	// Ignored when Admission is set (the chain's policies decide).
-	TimeSLOSec   float64
-	EnergySLOPct float64
-	// TimeProfiler and EnergyProfiler are the I-Prof instances. A nil
-	// profiler disables that bound and DefaultBatchSize is used instead.
+	// TimeProfiler and EnergyProfiler are the I-Prof instances.
 	// PushGradient always feeds measured costs back into them, whether or
 	// not an Admission chain uses them for batch sizing.
 	TimeProfiler   *iprof.IProf
 	EnergyProfiler *iprof.IProf
-	// DefaultBatchSize is used when no profiler is configured (default 100,
-	// the paper's mini-batch size).
+	// DefaultBatchSize is the batch size the admission chain starts from
+	// (default 100, the paper's mini-batch size).
 	DefaultBatchSize int
-	// MinBatchSize is the controller's size threshold: predicted batches
-	// below it are rejected before any energy is spent (§2.2). Ignored
-	// when Admission is set.
-	MinBatchSize int
-	// MaxSimilarity is the controller's similarity threshold: tasks whose
-	// label similarity exceeds it are rejected as redundant. 0 disables.
-	// Ignored when Admission is set.
-	MaxSimilarity float64
 	// F16Announce, when true, attaches a full half-precision parameter
 	// vector (ModelAnnounce.ParamsF16) to snapshot announces whose exact
 	// sparse delta went dense (or was never kept) — the dense-gradient
@@ -158,72 +148,20 @@ type Config struct {
 	BootEpoch int64
 }
 
-// modelSnapshot is one immutable published state of the global model. The
-// params slice is shared with every TaskResponse served from it and must
-// never be written after publication.
-type modelSnapshot struct {
-	version int
-	params  []float64
-	// deltas maps an older version v to the exact sparse difference
-	// params(v) → params, when sparse enough to be worth the wire; the
-	// absence of an entry means "serve a full pull".
-	deltas map[int]*compress.Sparse
-}
-
-// histEntry retains a superseded snapshot's params for delta precompute.
-type histEntry struct {
-	version int
-	params  []float64 // shared with the snapshot that published it
-}
-
 // Server is the FLeet parameter server. All exported methods are safe for
 // concurrent use.
 type Server struct {
 	cfg Config
-	// paramCount and classes are immutable after New: request validation
-	// reads them without holding any lock.
-	paramCount int
-	classes    int
-	// labels guards itself (lock-free reads); it is never touched under mu.
-	labels *learning.LabelTracker
-	// pipe is the update pipeline (immutable after New); its aggregator
-	// guards its own window state, so Process/Add run outside mu.
-	pipe *pipeline.Pipeline
-	// sparseOK caches pipe.SparseCapable(): whether a validated top-k push
-	// may travel the pipeline as an index/value view and scatter straight
-	// into the aggregator, skipping the O(params) densify per push.
-	sparseOK bool
-	// admit is the admission chain (immutable after New); stateful
-	// policies synchronize themselves.
-	admit sched.AdmissionPolicy
+	// core is the ingress shared with the edge tier: admission, push
+	// validation and staleness scaling, and the published snapshot —
+	// replaced only inside drainLocked (and so only under mu), whose
+	// version is the server's logical clock.
+	core *ingress.Core
 
-	// snap is the immutable (version, params, deltas) snapshot RequestTask
-	// serves from without locking; it is replaced only inside drainLocked
-	// (and so only under mu), but read anywhere.
-	snap atomic.Pointer[modelSnapshot]
-
-	// Task counters are atomic: the admission path must not contend with
-	// the gradient-commit path. rejectsByPolicy is only touched on the
-	// (already slow) reject path.
-	tasksServed  atomic.Int64
-	tasksDropped atomic.Int64
-	rejectMu     sync.Mutex
-	rejects      map[string]int
-
-	// mu guards the model, the logical clock, the delta history and the
-	// push counters.
-	mu          sync.Mutex
-	model       *nn.Network
-	version     int
-	pending     int
-	history     []histEntry
-	gradientsIn int
-	// leafGradients counts individual worker gradients: an aggregated
-	// push from an edge tier (GradientPush.Contributing > 0) adds its
-	// contributing count here but 1 to gradientsIn.
-	leafGradients int
-	staleSum      float64
-	drainErrors   int
+	// mu guards the model, the snapshot publication and the push tally.
+	mu    sync.Mutex
+	model *nn.Network
+	tally ingress.Tally
 	// windowsSinceCkpt counts drains toward the periodic checkpoint
 	// cadence; ckptDue is the core state captured under mu when one falls
 	// due, written to disk outside the lock by the push that drained.
@@ -239,13 +177,13 @@ type Server struct {
 	announceDue *protocol.ModelAnnounce
 
 	// restoredVersion is the logical clock the server booted from (0 on a
-	// fresh boot); epoch is the incarnation counter (Config.BootEpoch on
-	// a fresh boot — 0 unless a boot nonce is wired in — and the
-	// checkpoint's epoch + 1 after a restore). The epoch travels the wire
-	// so version numbers from different incarnations are never confused:
-	// a restored clock re-walks versions the dead instance already handed
-	// out, with different parameters behind them. Both immutable after
-	// New/Restore.
+	// fresh boot). The snapshot's epoch is the incarnation counter
+	// (Config.BootEpoch on a fresh boot — 0 unless a boot nonce is wired
+	// in — and the checkpoint's epoch + 1 after a restore). The epoch
+	// travels the wire so version numbers from different incarnations are
+	// never confused: a restored clock re-walks versions the dead instance
+	// already handed out, with different parameters behind them. Both
+	// immutable after New/Restore.
 	//
 	// Checkpoint-less restarts are covered too: cmd/fleet-server persists
 	// a seed-derived boot count (persist.BootNonce) and passes the nonce
@@ -254,7 +192,6 @@ type Server struct {
 	// (The nonce is deterministic per (seed, boot count), keeping the
 	// harness's bit-for-bit replay intact.)
 	restoredVersion int
-	epoch           int64
 	// ckptMu serializes checkpoint writes; the counters are atomic so
 	// Stats never waits on a write in flight. ckptVersion (under ckptMu)
 	// is the highest version already persisted: a writer holding an older
@@ -282,11 +219,9 @@ type Server struct {
 // under s.mu at drain time: version and params move together. params shares
 // the immutable snapshot storage, so the capture is O(1).
 type ckptCore struct {
-	version       int
-	params        []float64
-	gradientsIn   int
-	leafGradients int
-	staleSum      float64
+	version int
+	params  []float64
+	tally   ingress.Tally
 }
 
 // ckptReq is one unit of work for the background checkpoint writer: a
@@ -307,73 +242,27 @@ const ckptQueueDepth = 4
 
 // New builds a server with a freshly initialized global model.
 func New(cfg Config) (*Server, error) {
-	if cfg.Algorithm == nil {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: Algorithm is required")
+	core, err := ingress.New("server", ingress.Config{
+		Arch:             cfg.Arch,
+		Algorithm:        cfg.Algorithm,
+		K:                cfg.K,
+		Shards:           cfg.Shards,
+		Pipeline:         cfg.Pipeline,
+		Admission:        cfg.Admission,
+		TimeProfiler:     cfg.TimeProfiler,
+		EnergyProfiler:   cfg.EnergyProfiler,
+		DefaultBatchSize: cfg.DefaultBatchSize,
+		DeltaHistory:     cfg.DeltaHistory,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.LearningRate <= 0 {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: LearningRate must be positive")
 	}
-	if cfg.K <= 0 {
-		cfg.K = 1
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.DefaultBatchSize <= 0 {
-		cfg.DefaultBatchSize = 100
-	}
-	if cfg.DeltaHistory == 0 {
-		cfg.DeltaHistory = 4
-	}
-	if cfg.DeltaHistory < 0 {
-		cfg.DeltaHistory = 0 // negative disables; 0 internally means "none kept"
-	}
-	if cfg.Pipeline == nil {
-		stage, err := pipeline.NewStalenessScale(cfg.Algorithm)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-		cfg.Pipeline, err = pipeline.New(pipeline.NewMeanWindow(cfg.Shards), stage)
-		if err != nil {
-			return nil, protocol.AsError(err)
-		}
-	}
-	if cfg.Admission == nil {
-		// The legacy-equivalent default: each Figure-2 controller stage,
-		// included only when its knob is set, in the order the hardwired
-		// block ran them.
-		var policies []sched.AdmissionPolicy
-		if cfg.TimeProfiler != nil && cfg.TimeSLOSec > 0 {
-			policies = append(policies, sched.IProfTime(cfg.TimeProfiler, cfg.TimeSLOSec))
-		}
-		if cfg.EnergyProfiler != nil && cfg.EnergySLOPct > 0 {
-			policies = append(policies, sched.IProfEnergy(cfg.EnergyProfiler, cfg.EnergySLOPct))
-		}
-		if cfg.MinBatchSize > 0 {
-			policies = append(policies, sched.MinBatch(cfg.MinBatchSize))
-		}
-		if cfg.MaxSimilarity > 0 {
-			policies = append(policies, sched.Similarity(cfg.MaxSimilarity))
-		}
-		cfg.Admission = sched.NewChain(policies...)
-	}
-	if cfg.BootEpoch < 0 {
-		cfg.BootEpoch = 0
-	}
 	model := cfg.Arch.Build(simrand.New(cfg.Seed))
-	s := &Server{
-		cfg:        cfg,
-		paramCount: model.ParamCount(),
-		classes:    cfg.Arch.Classes(),
-		model:      model,
-		labels:     learning.NewLabelTracker(cfg.Arch.Classes()),
-		pipe:       cfg.Pipeline,
-		sparseOK:   cfg.Pipeline.SparseCapable(),
-		admit:      cfg.Admission,
-		rejects:    map[string]int{},
-		epoch:      cfg.BootEpoch,
-	}
-	s.snap.Store(&modelSnapshot{version: 0, params: model.ParamVector()})
+	s := &Server{cfg: cfg, core: core, model: model}
+	core.Reset(0, max(cfg.BootEpoch, 0), model.ParamVector())
 	if cfg.Checkpointer != nil {
 		s.ckptQ = make(chan ckptReq, ckptQueueDepth)
 		s.ckptQuit = make(chan struct{})
@@ -384,234 +273,47 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Pipeline returns the server's composed update pipeline.
-func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
+func (s *Server) Pipeline() *pipeline.Pipeline { return s.core.Pipeline() }
 
 // Admission returns the server's composed admission chain.
-func (s *Server) Admission() sched.AdmissionPolicy { return s.admit }
+func (s *Server) Admission() sched.AdmissionPolicy { return s.core.Admission() }
 
 // RequestTask processes step (1)→(4) of Figure 2: screen the task through
 // the admission chain (I-Prof batch sizing, the controller) and serve the
-// model. The accept path is lock-free and O(1) in the model size: the
-// response either shares the immutable snapshot's parameter slice (full
-// pull) or hands out a delta precomputed at drain time (version-aware
-// pull). The only synchronization is the label tracker's lock-free
-// snapshot read and whatever stateful admission policies do internally.
+// model from the lock-free snapshot (see ingress.Core.RequestTask).
 func (s *Server) RequestTask(ctx context.Context, req *protocol.TaskRequest) (*protocol.TaskResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	if err := protocol.ValidateLabelCounts("TaskRequest.label_counts", req.LabelCounts, s.classes); err != nil {
-		return nil, err
-	}
-
-	areq := &sched.TaskRequest{
-		Wire:       req,
-		BatchSize:  s.cfg.DefaultBatchSize,
-		Similarity: s.labels.Similarity(req.LabelCounts),
-	}
-	decision, err := s.admit.Admit(ctx, areq)
-	if err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	// Re-check before committing controller state: the profiler lookups
-	// and similarity scan above may have outlived the caller's deadline.
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	if !decision.Accept {
-		s.tasksDropped.Add(1)
-		s.rejectMu.Lock()
-		s.rejects[decision.Policy]++
-		s.rejectMu.Unlock()
-		return &protocol.TaskResponse{Accepted: false, Reason: decision.Reason}, nil
-	}
-
-	s.tasksServed.Add(1)
-	snap := s.snap.Load()
-	resp := &protocol.TaskResponse{
-		Accepted:     true,
-		ModelVersion: snap.version,
-		BatchSize:    decision.BatchSize,
-		ServerEpoch:  s.epoch,
-	}
-	// A delta is only meaningful against this incarnation's own version
-	// stream: after a restore, a client's cached "version 33" names the
-	// dead instance's parameters, not ours — patching our delta onto it
-	// would silently corrupt the cache. Epoch mismatch → full pull.
-	if req.WantDelta && req.KnownEpoch == s.epoch {
-		if req.KnownVersion == snap.version {
-			// Already current: the empty delta.
-			resp.ParamsDelta = &compress.Sparse{Len: len(snap.params)}
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-		if d, ok := snap.deltas[req.KnownVersion]; ok {
-			resp.ParamsDelta = d
-			resp.DeltaBase = req.KnownVersion
-			return resp, nil
-		}
-		// Version too old, from the future, or the delta went dense:
-		// transparent fallback to a full pull.
-	}
-	resp.Params = snap.params // shared immutable snapshot storage
-	resp.Full = true
-	return resp, nil
+	return s.core.RequestTask(ctx, req)
 }
 
 // PushGradient processes step (5): the gradient runs through the update
-// pipeline's stages (staleness scaling, DP, filters), lands in the window
-// aggregator, and the model is updated after K gradients; the measured
-// cost feeds back into I-Prof.
+// pipeline's stages (staleness scaling, DP, filters) into the window
+// aggregator (see ingress.Core.Ingest), and the model is updated after K
+// gradients.
 func (s *Server) PushGradient(ctx context.Context, push *protocol.GradientPush) (*protocol.PushAck, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-	// Validation and sparse decoding touch only the immutable paramCount,
-	// so they run outside every lock. The shared payload decoder handles
-	// every uplink dialect — dense, top-k, and the quantized top-k forms —
-	// and reports whether the indices are strictly ascending (the
-	// precondition for the zero-copy scatter path below).
-	payload, err := protocol.DecodeGradientPayload(push, s.paramCount)
+	g, err := s.core.Ingest(ctx, push)
 	if err != nil {
 		return nil, err
 	}
-	if push.BatchSize <= 0 {
-		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
-			"server: non-positive batch size %d", push.BatchSize)
-	}
-	if err := protocol.ValidateLabelCounts("GradientPush.label_counts", push.LabelCounts, s.classes); err != nil {
-		return nil, err
-	}
 
-	// Feed I-Prof outside the model lock.
-	if s.cfg.TimeProfiler != nil && push.CompTimeSec > 0 && len(push.TimeFeatures) > 0 {
-		s.cfg.TimeProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.TimeFeatures,
-			Alpha:       push.CompTimeSec / float64(push.BatchSize),
-		})
-	}
-	if s.cfg.EnergyProfiler != nil && push.EnergyPct > 0 && len(push.EnergyFeatures) > 0 {
-		s.cfg.EnergyProfiler.Observe(iprof.Observation{
-			DeviceModel: push.DeviceModel,
-			Features:    push.EnergyFeatures,
-			Alpha:       push.EnergyPct / float64(push.BatchSize),
-		})
-	}
-
-	sim := s.labels.Similarity(push.LabelCounts)
-
-	// Last abort point: past here the gradient is counted and accumulated,
-	// which must complete even if the deadline lapses mid-flight. Checking
-	// again after the O(params) decode and the profiler feeds lets a
-	// Deadline interceptor actually fire on in-process calls that queued
-	// too long.
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
-	}
-
-	// A gradient from another incarnation was computed on parameters this
-	// server cannot reason about (the same version number names different
-	// params across a restore): version_conflict, the resync signal — the
-	// worker drops its cache, re-pulls full and recomputes.
-	if push.ModelEpoch != s.epoch {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"server: gradient from server incarnation %d (this is incarnation %d, restored after a restart); re-pull and recompute",
-			push.ModelEpoch, s.epoch)
-	}
-
-	// Staleness against the logical clock, read lock-free from the
-	// published snapshot (version and snapshot move together under mu
-	// inside drainLocked, so the snapshot's clock is never ahead).
-	staleness := s.snap.Load().version - push.ModelVersion
-	if staleness < 0 {
-		return nil, protocol.Errorf(protocol.CodeVersionConflict,
-			"server: gradient from future model version %d (at %d)", push.ModelVersion, push.ModelVersion+staleness)
-	}
-
-	// Pipeline stages: staleness scaling, DP perturbation, filters — the
-	// O(params) work stays outside s.mu. A stage rejection (e.g. the norm
-	// filter) surfaces before the gradient is counted or accumulated.
-	//
-	// Sparse fast path: a validated, strictly-ascending top-k view travels
-	// the pipeline as-is and scatters straight into the shard accumulators
-	// (pipeline.SparseAdder) — zero O(params) allocations per push. Gated
-	// on sparseOK (every stage SparseSafe, aggregator a SparseAdder).
-	// Decoded payloads always arrive Ascending (the decoder canonicalizes
-	// out-of-order and duplicate indices with densify's last-value-wins
-	// semantics); the gate remains for hand-built payloads.
-	g := &pipeline.Gradient{
-		Meta: learning.GradientMeta{
-			Staleness:  staleness,
-			Similarity: sim,
-			BatchSize:  push.BatchSize,
-			WorkerID:   push.WorkerID,
-		},
-		Scale: 1,
-	}
-	if payload.Sparse() && payload.Ascending && s.sparseOK {
-		g.Vec = payload.Values
-		g.Indices = payload.Indices
-		g.DenseLen = s.paramCount
-	} else {
-		g.Vec = payload.Densify(s.paramCount)
-	}
-	if err := s.pipe.Process(g); err != nil {
-		return nil, err
-	}
-
-	// The algorithm observes the staleness after scaling (matching the
-	// pre-pipeline order: a gradient's own staleness enters the quantile
-	// history only after its scale is fixed), and LD_global accumulates
-	// label mass weighted by the pure staleness dampening, so labels the
-	// model never effectively incorporated keep their novelty (and keep
-	// being boosted).
-	s.cfg.Algorithm.Observe(g.Meta)
-	absorb := s.cfg.Algorithm.AbsorbWeight(g.Meta)
-	s.labels.RecordWeighted(push.LabelCounts, absorb)
-
-	// Window accumulation: the aggregator synchronizes itself (per-shard
-	// locks for the mean, the window lock for retention mode), so pushes
-	// proceed in parallel here.
-	s.pipe.Add(g)
-
-	// Commit section: a push only counts toward the K-window after its
-	// mass reaches the aggregator, so when pending hits K every counted
-	// gradient is already in the window and the drain can never strand
-	// acked mass. The logical clock advances inside drainLocked, after the
-	// model is updated, keeping (params, version) consistent for
+	// Commit section: the logical clock advances inside drainLocked, after
+	// the model is updated, keeping (params, version) consistent for
 	// RequestTask.
 	//
 	// A drain failure does NOT fail the push: this gradient was already
 	// counted and accumulated, so returning an error would invite a retry
 	// that double-contributes. The window is discarded, the failure is
 	// surfaced through Stats.DrainErrors, and the pusher gets its ack.
-	// Leaf-gradient accounting: an edge-aggregator push carries the count
-	// of worker gradients its direction sums, so the K-sum bookkeeping
-	// (and the O(fan-in) push reduction it proves) stays visible here.
-	contrib := push.Contributing
-	if contrib <= 0 {
-		contrib = 1
-	}
-
 	s.mu.Lock()
-	s.gradientsIn++
-	s.leafGradients += contrib
-	s.staleSum += float64(staleness)
-	s.pending++
-	if s.pending >= s.cfg.K {
-		s.pending = 0
+	if s.tally.Commit(g.Meta.Staleness, ingress.Contributing(push), s.core.K()) {
 		if err := s.drainLocked(); err != nil {
-			s.drainErrors++
+			s.tally.DrainErrors++
 		}
 	}
 	ack := &protocol.PushAck{
 		Applied:    true,
-		Staleness:  staleness,
+		Staleness:  g.Meta.Staleness,
 		Scale:      g.Scale,
-		NewVersion: s.version,
+		NewVersion: s.core.Snapshot().Version,
 	}
 	due := s.ckptDue
 	s.ckptDue = nil
@@ -740,52 +442,31 @@ func (s *Server) OnSnapshot(fn func(protocol.ModelAnnounce)) {
 // built-in aggregators never error on server-validated windows.
 //
 // This is also where the O(params) cost of the lock-free pull path lives:
-// one ParamVector copy for the new snapshot plus up to DeltaHistory sparse
-// diffs — paid once per K-window, never per RequestTask. A diff that goes
-// denser than half the vector is abandoned mid-scan (Diff's maxNNZ bound)
-// and its version falls back to full pulls.
+// one ParamVector copy for the new snapshot plus the delta diffs Publish
+// precomputes — paid once per K-window, never per RequestTask.
 func (s *Server) drainLocked() error {
-	err := s.pipe.Drain(func(direction []float64) {
+	err := s.core.Pipeline().Drain(func(direction []float64) {
 		s.model.ApplyGradient(direction, s.cfg.LearningRate)
 	})
-	s.version++
-
-	old := s.snap.Load()
-	next := &modelSnapshot{version: s.version, params: s.model.ParamVector()}
-	if h := s.cfg.DeltaHistory; h > 0 {
-		s.history = append(s.history, histEntry{version: old.version, params: old.params})
-		if len(s.history) > h {
-			s.history = s.history[len(s.history)-h:]
-		}
-		next.deltas = make(map[int]*compress.Sparse, len(s.history))
-		for _, e := range s.history {
-			if d, ok := compress.Diff(e.params, next.params, s.paramCount/2); ok {
-				next.deltas[e.version] = &d
-			}
-		}
-	}
-	s.snap.Store(next)
+	old := s.core.Snapshot()
+	params := s.model.ParamVector()
+	ann, _ := s.core.Publish(old.Version+1, old.Epoch, params)
 
 	// Snapshot-publish notification: captured here so the announce carries
-	// the same immutable state just stored, delivered by the draining push
-	// after it releases s.mu (see OnSnapshot). The v−1→v delta, when the
-	// history kept one, is shared with the snapshot — immutable, so the
+	// the same immutable state just published, delivered by the draining
+	// push after it releases s.mu (see OnSnapshot). The v−1→v delta, when
+	// the history kept one, is shared with the snapshot — immutable, so the
 	// transport may encode it concurrently with further drains.
 	if s.snapHook.Load() != nil {
-		s.announceDue = &protocol.ModelAnnounce{
-			ModelVersion: s.version,
-			ServerEpoch:  s.epoch,
-		}
-		if d, ok := next.deltas[old.version]; ok {
-			s.announceDue.Delta = d
-			s.announceDue.DeltaBase = old.version
-		} else if s.cfg.F16Announce {
+		due := ann
+		if due.Delta == nil && s.cfg.F16Announce {
 			// No exact delta retained (dense-gradient deployments hit
 			// Diff's half-vector bound every window): attach the full
 			// model in half precision so subscribers still absorb the
 			// announce instead of falling back to a delta-less ping.
-			s.announceDue.ParamsF16 = compress.PackF16(next.params)
+			due.ParamsF16 = compress.PackF16(params)
 		}
+		s.announceDue = &due
 	}
 
 	// Periodic crash safety: every CheckpointEvery-th window schedules a
@@ -796,16 +477,17 @@ func (s *Server) drainLocked() error {
 		s.windowsSinceCkpt++
 		if s.windowsSinceCkpt >= s.cfg.CheckpointEvery {
 			s.windowsSinceCkpt = 0
-			s.ckptDue = &ckptCore{
-				version:       s.version,
-				params:        next.params,
-				gradientsIn:   s.gradientsIn,
-				leafGradients: s.leafGradients,
-				staleSum:      s.staleSum,
-			}
+			s.ckptDue = s.coreLocked()
 		}
 	}
 	return err
+}
+
+// coreLocked captures the checkpoint core: the published snapshot and the
+// push tally. Callers hold s.mu.
+func (s *Server) coreLocked() *ckptCore {
+	snap := s.core.Snapshot()
+	return &ckptCore{version: snap.Version, params: snap.Params, tally: s.tally}
 }
 
 // captureState assembles the full persist.State around a core capture. The
@@ -816,20 +498,19 @@ func (s *Server) drainLocked() error {
 func (s *Server) captureState(core ckptCore) *persist.State {
 	st := &persist.State{
 		Arch:          s.cfg.Arch.String(),
-		Epoch:         s.epoch,
+		Epoch:         s.Epoch(),
 		Version:       core.version,
 		Params:        core.params,
-		GradientsIn:   core.gradientsIn,
-		LeafGradients: core.leafGradients,
-		StaleSum:      core.staleSum,
-		TasksServed:   s.tasksServed.Load(),
-		TasksDropped:  s.tasksDropped.Load(),
+		GradientsIn:   core.tally.GradientsIn,
+		LeafGradients: core.tally.LeafGradients,
+		StaleSum:      core.tally.StaleSum,
 	}
+	st.TasksServed, st.TasksDropped = s.core.Tasks()
 	if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
 		ada := a.ExportState()
 		st.AdaSGD = &ada
 	}
-	labels := s.labels.ExportState()
+	labels := s.core.Labels().ExportState()
 	st.Labels = &labels
 	if s.cfg.TimeProfiler != nil {
 		st.TimeProfiler = s.cfg.TimeProfiler.ExportState()
@@ -873,18 +554,11 @@ func (s *Server) Checkpoint() (string, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	s.mu.Lock()
-	snap := s.snap.Load()
-	core := ckptCore{
-		version:       snap.version,
-		params:        snap.params,
-		gradientsIn:   s.gradientsIn,
-		leafGradients: s.leafGradients,
-		staleSum:      s.staleSum,
-	}
+	core := s.coreLocked()
 	s.ckptDue = nil // an explicit checkpoint supersedes a scheduled one
 	s.mu.Unlock()
 
-	path, err := s.cfg.Checkpointer.Save(s.captureState(core))
+	path, err := s.cfg.Checkpointer.Save(s.captureState(*core))
 	if err != nil {
 		s.ckptErrors.Add(1)
 		return "", err
@@ -918,33 +592,32 @@ func Restore(cfg Config, st *persist.State) (*Server, error) {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
 			"server: checkpoint is for architecture %q, config wants %q", st.Arch, s.cfg.Arch.String())
 	}
-	if len(st.Params) != s.paramCount {
+	if n := s.core.ParamCount(); len(st.Params) != n {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
-			"server: checkpoint has %d params, architecture %q needs %d", len(st.Params), s.cfg.Arch, s.paramCount)
+			"server: checkpoint has %d params, architecture %q needs %d", len(st.Params), s.cfg.Arch, n)
 	}
 	if st.Version < 0 {
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
 			"server: checkpoint has negative version %d", st.Version)
 	}
 	s.model.SetParams(st.Params)
-	s.version = st.Version
-	s.gradientsIn = st.GradientsIn
-	s.leafGradients = st.LeafGradients
-	s.staleSum = st.StaleSum
+	s.tally = ingress.Tally{
+		GradientsIn:   st.GradientsIn,
+		LeafGradients: st.LeafGradients,
+		StaleSum:      st.StaleSum,
+	}
 	s.restoredVersion = st.Version
 	// A new incarnation: pushes and delta requests carrying the old epoch
 	// are detected instead of colliding with our re-walked version stream.
-	s.epoch = st.Epoch + 1
-	s.tasksServed.Store(st.TasksServed)
-	s.tasksDropped.Store(st.TasksDropped)
-	s.snap.Store(&modelSnapshot{version: st.Version, params: s.model.ParamVector()})
+	s.core.Reset(st.Version, st.Epoch+1, s.model.ParamVector())
+	s.core.RestoreTasks(st.TasksServed, st.TasksDropped)
 	if st.AdaSGD != nil {
 		if a, ok := s.cfg.Algorithm.(*learning.AdaSGD); ok {
 			a.RestoreState(*st.AdaSGD)
 		}
 	}
 	if st.Labels != nil {
-		if err := s.labels.RestoreState(*st.Labels); err != nil {
+		if err := s.core.Labels().RestoreState(*st.Labels); err != nil {
 			return nil, protocol.Errorf(protocol.CodeInvalidArgument, "server: %v", err)
 		}
 	}
@@ -980,60 +653,32 @@ func (s *Server) RestoredVersion() int { return s.restoredVersion }
 
 // Epoch returns the server's incarnation counter: 0 for a fresh boot,
 // incremented by every checkpoint restore.
-func (s *Server) Epoch() int64 { return s.epoch }
+func (s *Server) Epoch() int64 { return s.core.Snapshot().Epoch }
 
 // Stats returns a diagnostic snapshot, including the composed update
 // pipeline (stage names in chain order plus the window aggregator) and the
 // composed admission chain with its per-policy reject counters.
 func (s *Server) Stats(ctx context.Context) (*protocol.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, protocol.AsError(err)
+	st, err := s.core.Stats(ctx)
+	if err != nil {
+		return nil, err
 	}
-	served := int(s.tasksServed.Load())
-	dropped := int(s.tasksDropped.Load())
-	s.rejectMu.Lock()
-	var rejects map[string]int
-	if len(s.rejects) > 0 {
-		rejects = make(map[string]int, len(s.rejects))
-		for k, v := range s.rejects {
-			rejects[k] = v
-		}
-	}
-	s.rejectMu.Unlock()
-
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	mean := 0.0
-	if s.gradientsIn > 0 {
-		mean = s.staleSum / float64(s.gradientsIn)
-	}
-	return &protocol.Stats{
-		ModelVersion:      s.version,
-		TasksServed:       served,
-		TasksRejected:     dropped,
-		TasksDropped:      dropped,
-		GradientsIn:       s.gradientsIn,
-		LeafGradients:     s.leafGradients,
-		MeanStaleness:     mean,
-		PipelineStages:    s.pipe.StageNames(),
-		Aggregator:        s.pipe.AggregatorName(),
-		AdmissionPolicies: sched.Names(s.admit),
-		RejectsByPolicy:   rejects,
-		DrainErrors:       s.drainErrors,
-		Checkpoints:       int(s.checkpoints.Load()),
-		CheckpointErrors:  int(s.ckptErrors.Load()),
-		RestoredVersion:   s.restoredVersion,
-		ServerEpoch:       s.epoch,
-	}, nil
+	s.tally.Fill(st)
+	s.mu.Unlock()
+	st.Checkpoints = int(s.checkpoints.Load())
+	st.CheckpointErrors = int(s.ckptErrors.Load())
+	st.RestoredVersion = s.restoredVersion
+	return st, nil
 }
 
 // Model returns a copy of the current global parameters and their version,
 // served lock-free from the published snapshot.
 func (s *Server) Model() ([]float64, int) {
-	snap := s.snap.Load()
-	out := make([]float64, len(snap.params))
-	copy(out, snap.params)
-	return out, snap.version
+	snap := s.core.Snapshot()
+	out := make([]float64, len(snap.Params))
+	copy(out, snap.Params)
+	return out, snap.Version
 }
 
 // Evaluate computes test accuracy of the current global model. The provided

@@ -14,6 +14,7 @@ import (
 	"fleet/internal/nn"
 	"fleet/internal/pipeline"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/simrand"
 )
 
@@ -165,7 +166,7 @@ func TestRequestCanceledContext(t *testing.T) {
 
 func TestSimilarityThresholdRejects(t *testing.T) {
 	ctx := context.Background()
-	s := newTestServer(t, Config{MaxSimilarity: 0.9})
+	s := newTestServer(t, Config{Admission: sched.NewChain(sched.Similarity(0.9))})
 	// Seed the global label distribution.
 	params, _ := s.Model()
 	grad := make([]float64, len(params))
@@ -453,10 +454,10 @@ func TestSparseAccumulateMatchesDensify(t *testing.T) {
 	ctx := context.Background()
 	sparse := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
 	dense := newTestServer(t, Config{K: 3, Shards: 4, Algorithm: learning.SSGD{}})
-	if !sparse.sparseOK {
+	if !sparse.core.Pipeline().SparseCapable() {
 		t.Fatal("default pipeline must be sparse-capable")
 	}
-	paramCount := sparse.paramCount
+	paramCount := sparse.core.ParamCount()
 	rng := rand.New(rand.NewSource(7))
 
 	for i := 0; i < 12; i++ {
@@ -516,7 +517,7 @@ func TestQuantizedPushMatchesDequantized(t *testing.T) {
 	for _, enc := range []string{compress.EncodingTopKQ8, compress.EncodingTopKF16} {
 		quant := newTestServer(t, Config{Algorithm: learning.SSGD{}})
 		plain := newTestServer(t, Config{Algorithm: learning.SSGD{}})
-		paramCount := quant.paramCount
+		paramCount := quant.core.ParamCount()
 		idx := []int32{1, 5, 99, int32(paramCount - 1)}
 		vals := make([]float64, len(idx))
 		for j := range vals {
@@ -563,7 +564,7 @@ func TestQuantizedPushMatchesDequantized(t *testing.T) {
 func TestMismatchedEncodingTagRejected(t *testing.T) {
 	ctx := context.Background()
 	s := newTestServer(t, Config{})
-	grad := make([]float64, s.paramCount)
+	grad := make([]float64, s.core.ParamCount())
 	var apiErr *protocol.Error
 	_, err := s.PushGradient(ctx, &protocol.GradientPush{
 		ModelVersion: 0, Gradient: grad, Encoding: compress.EncodingTopK,
@@ -583,7 +584,7 @@ func TestF16AnnounceFallback(t *testing.T) {
 	var got protocol.ModelAnnounce
 	s.OnSnapshot(func(a protocol.ModelAnnounce) { got = a })
 
-	grad := make([]float64, s.paramCount)
+	grad := make([]float64, s.core.ParamCount())
 	grad[0] = 1
 	if _, err := s.PushGradient(ctx, &protocol.GradientPush{
 		ModelVersion: 0, Gradient: grad, BatchSize: 5, LabelCounts: []int{1},
@@ -596,8 +597,8 @@ func TestF16AnnounceFallback(t *testing.T) {
 	if got.Delta != nil {
 		t.Fatal("delta history disabled, yet announce carries a delta")
 	}
-	if len(got.ParamsF16) != s.paramCount {
-		t.Fatalf("announce carries %d f16 params, want %d", len(got.ParamsF16), s.paramCount)
+	if len(got.ParamsF16) != s.core.ParamCount() {
+		t.Fatalf("announce carries %d f16 params, want %d", len(got.ParamsF16), s.core.ParamCount())
 	}
 	params, _ := s.Model()
 	back := compress.UnpackF16(got.ParamsF16)

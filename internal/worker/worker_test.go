@@ -13,6 +13,7 @@ import (
 	"fleet/internal/learning"
 	"fleet/internal/nn"
 	"fleet/internal/protocol"
+	"fleet/internal/sched"
 	"fleet/internal/server"
 	"fleet/internal/simrand"
 )
@@ -196,8 +197,8 @@ func srvParamCount() int {
 func TestWorkerCountsRejections(t *testing.T) {
 	ctx := context.Background()
 	ds := data.TinyMNIST(6, 12, 4)
-	// MinBatchSize above the default batch size: every task is rejected.
-	srv := newServer(t, server.Config{MinBatchSize: 1000, DefaultBatchSize: 16})
+	// A min-batch policy above the default batch size: every task is rejected.
+	srv := newServer(t, server.Config{Admission: sched.NewChain(sched.MinBatch(1000)), DefaultBatchSize: 16})
 	workers := newWorkers(t, 1, ds)
 	w := workers[0]
 	ack, err := w.Step(ctx, srv)
